@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/ares-cps/ares/internal/mathx"
@@ -271,23 +276,337 @@ func TestQuadEnergyConservationInFreeFall(t *testing.T) {
 	}
 }
 
+// TestQuadStepGuards covers Step's input handling: a zero or negative dt
+// is a no-op, out-of-range commands are clamped, and non-finite commands
+// or dt crash the vehicle loudly instead of poisoning the state (a NaN dt
+// used to slip past the dt <= 0 guard).
 func TestQuadStepGuards(t *testing.T) {
-	q := newTestQuad(t)
-	before := q.State()
-	q.Step([4]float64{0.5, 0.5, 0.5, 0.5}, 0) // zero dt is a no-op
-	if q.State() != before {
-		t.Error("zero-dt step changed state")
+	const dt = 1.0 / 400
+	rest := State{Att: mathx.QuatIdentity()}
+	tests := []struct {
+		name   string
+		cmd    [4]float64
+		dt     float64
+		reason string // crash reason; "" means no crash
+		check  func(t *testing.T, s State)
+	}{
+		{name: "zero dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: 0,
+			check: func(t *testing.T, s State) {
+				if s != rest {
+					t.Errorf("zero-dt step changed state: %+v", s)
+				}
+			}},
+		{name: "negative dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: -dt,
+			check: func(t *testing.T, s State) {
+				if s != rest {
+					t.Errorf("negative-dt step changed state: %+v", s)
+				}
+			}},
+		{name: "clamped cmd", cmd: [4]float64{5, -3, 0.5, 0.5}, dt: dt,
+			check: func(t *testing.T, s State) {
+				for i, m := range s.Motor {
+					if m < 0 || m > 1 {
+						t.Errorf("motor %d = %v out of [0,1]", i, m)
+					}
+				}
+			}},
+		{name: "nan cmd", cmd: [4]float64{math.NaN(), 0.5, 0.5, 0.5}, dt: dt, reason: nonFiniteStep},
+		{name: "+inf cmd", cmd: [4]float64{0.5, math.Inf(1), 0.5, 0.5}, dt: dt, reason: nonFiniteStep},
+		{name: "-inf cmd", cmd: [4]float64{0.5, 0.5, math.Inf(-1), 0.5}, dt: dt, reason: nonFiniteStep},
+		{name: "nan dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.NaN(), reason: nonFiniteStep},
+		{name: "+inf dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.Inf(1), reason: nonFiniteStep},
+		{name: "-inf dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.Inf(-1), reason: nonFiniteStep},
 	}
-	q.Step([4]float64{5, -3, 0.5, 0.5}, 1.0/400) // commands clamped
-	for i, m := range q.State().Motor {
-		if m < 0 || m > 1 {
-			t.Errorf("motor %d = %v out of [0,1]", i, m)
-		}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			q := newTestQuad(t)
+			q.Step(tt.cmd, tt.dt)
+			crashed, reason := q.Crashed()
+			if crashed != (tt.reason != "") || reason != tt.reason {
+				t.Fatalf("crashed=%v reason=%q, want reason %q", crashed, reason, tt.reason)
+			}
+			if crashed && q.State() != rest {
+				t.Errorf("rejected step mutated state: %+v", q.State())
+			}
+			if tt.check != nil {
+				tt.check(t, q.State())
+			}
+		})
+	}
+}
+
+// TestQuadStepAllocs gates the physics step at zero allocations: it runs
+// 400 times per simulated second of every flight.
+func TestQuadStepAllocs(t *testing.T) {
+	q := newTestQuad(t, WithWind(NewWind(mathx.V3(2, 1, 0), 1.5, 7)), WithInitialState(State{
+		Pos: mathx.V3(0, 0, -10),
+		Att: mathx.QuatIdentity(),
+	}))
+	h := q.Params.HoverThrottle()
+	allocs := testing.AllocsPerRun(200, func() {
+		q.Step([4]float64{h, h, h, h}, 1.0/400)
+	})
+	if allocs != 0 {
+		t.Fatalf("Step allocates %v times per call, want 0", allocs)
 	}
 }
 
 func TestPixhawk4ParamsValid(t *testing.T) {
 	if err := Pixhawk4Params().Validate(); err != nil {
 		t.Errorf("Pixhawk4Params invalid: %v", err)
+	}
+}
+
+// mixedCmd builds a deterministic command pattern that exercises
+// transients, asymmetry and near-hover flight without immediately crashing.
+func mixedCmd(p VehicleParams, lane, step int) [4]float64 {
+	h := p.HoverThrottle()
+	f := float64((step+37*lane)%997) / 997
+	return [4]float64{
+		h + 0.2*(f-0.5),
+		h - 0.1*(f-0.5),
+		h + 0.05*f,
+		h,
+	}
+}
+
+// stabilizedCmd wraps a perturbation in a crude attitude and altitude
+// hold, so a long stream keeps flying at varied attitudes instead of
+// tipping over: the altitude target wanders between 5 and 15 m.
+func stabilizedCmd(q *Quad, perturb [4]float64, i int) [4]float64 {
+	s := q.State()
+	roll, pitch, _ := s.Euler()
+	h := q.Params.HoverThrottle()
+	alt := 10 + 5*math.Sin(float64(i)/2000)
+	thr := 0.02*(alt-s.Altitude()) + 0.05*s.Vel.Z
+	r := -0.05*roll - 0.01*s.Omega.X
+	pt := -0.05*pitch - 0.01*s.Omega.Y
+	y := -0.01 * s.Omega.Z
+	mix := [4]float64{thr - r + pt + y, thr + r - pt + y, thr + r + pt - y, thr - r - pt - y}
+	for k := range mix {
+		mix[k] += h + 0.3*(perturb[k]-h)
+	}
+	return mix
+}
+
+// trajectoryDigest accumulates the float bits of everything Step
+// publishes — state, last acceleration, battery, clock and crash status —
+// after every step of one or more command streams.
+type trajectoryDigest struct {
+	h   hash.Hash
+	buf []byte
+	// reasons counts the crash reasons the streams ended in.
+	reasons map[string]int
+}
+
+func newTrajectoryDigest() *trajectoryDigest {
+	return &trajectoryDigest{h: sha256.New(), reasons: map[string]int{}}
+}
+
+func (d *trajectoryDigest) f(vs ...float64) {
+	for _, v := range vs {
+		d.buf = binary.LittleEndian.AppendUint64(d.buf, math.Float64bits(v))
+	}
+}
+
+// record appends one step's observables.
+func (d *trajectoryDigest) record(q *Quad) {
+	d.buf = d.buf[:0]
+	s := q.State()
+	d.f(s.Pos.X, s.Pos.Y, s.Pos.Z, s.Vel.X, s.Vel.Y, s.Vel.Z)
+	d.f(s.Att.W, s.Att.X, s.Att.Y, s.Att.Z, s.Omega.X, s.Omega.Y, s.Omega.Z)
+	d.f(s.Motor[:]...)
+	a := q.LastAccel()
+	d.f(a.X, a.Y, a.Z)
+	b := q.Battery()
+	d.f(b.CapacitymAh, b.RemainmAh, b.NominalV, b.Voltage, b.CurrentA, q.Time())
+	crashed, reason := q.Crashed()
+	if crashed {
+		d.buf = append(d.buf, 1)
+	} else {
+		d.buf = append(d.buf, 0)
+	}
+	d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(len(reason)))
+	d.buf = append(d.buf, reason...)
+	d.h.Write(d.buf)
+}
+
+// fly steps q through n commands from cmd, recording every step, and
+// notes the crash reason the flight ended in.
+func (d *trajectoryDigest) fly(q *Quad, n int, dt float64, cmd func(i int) [4]float64) {
+	for i := 0; i < n; i++ {
+		q.Step(cmd(i), dt)
+		d.record(q)
+	}
+	if crashed, reason := q.Crashed(); crashed {
+		d.reasons[reason]++
+	}
+}
+
+func (d *trajectoryDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
+
+// TestQuadStepDigest pins Quad.Step bit for bit: a SHA-256 over every
+// published float of several command streams — mixed commands, wind, an
+// obstacle world, hard impacts, a tip-over, battery depletion and
+// non-finite inputs. The digests were recorded from the Vec3/Quat-method
+// RK4 before the step was flattened; any reordering of the arithmetic, a
+// dropped signed-zero term or a changed crash decision moves them.
+func TestQuadStepDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The recorded bits assume no fused multiply-add: amd64 Go emits
+		// none at its default GOAMD64=v1 level, arm64 and others may.
+		t.Skipf("digests recorded on amd64, not %s", runtime.GOARCH)
+	}
+	const dt = 1.0 / 400
+	p := IRISPlusParams()
+	h := p.HoverThrottle()
+	hover := func(int) [4]float64 { return [4]float64{h, h, h, h} }
+	at := func(pos mathx.Vec3) Option {
+		return WithInitialState(State{Pos: pos, Att: mathx.QuatIdentity()})
+	}
+	streams := []struct {
+		name    string
+		want    string
+		reasons map[string]int
+		run     func(t *testing.T, d *trajectoryDigest)
+	}{
+		{
+			name:    "mixed",
+			want:    "b1eae25d60b8bdc2f91f85274fbfb78b2491c17eb80e41807c6778bba297a208",
+			reasons: map[string]int{"tip-over near ground": 8},
+			run: func(t *testing.T, d *trajectoryDigest) {
+				// 40k steps of stabilized flight with mixed perturbations,
+				// then open-loop mixed commands from the ground.
+				q := newTestQuad(t)
+				d.fly(q, 40000, dt, func(i int) [4]float64 { return stabilizedCmd(q, mixedCmd(p, 0, i), i) })
+				if crashed, _ := q.Crashed(); crashed || q.State().Altitude() < 1 {
+					t.Fatalf("stabilized flight ended at %+v", q.State())
+				}
+				for lane := 0; lane < 8; lane++ {
+					d.fly(newTestQuad(t), 2000, dt, func(i int) [4]float64 { return mixedCmd(p, lane, i) })
+				}
+			},
+		},
+		{
+			name: "wind",
+			want: "62598d4786421bcb218fbd64e7fcf213b6e1c6358ad89c5244028209f6007da4",
+			run: func(t *testing.T, d *trajectoryDigest) {
+				for lane := 0; lane < 4; lane++ {
+					w := NewWind(mathx.V3(2, 1, 0), 1.5, int64(100+lane))
+					q := newTestQuad(t, WithWind(w))
+					d.fly(q, 8000, dt, func(i int) [4]float64 { return stabilizedCmd(q, mixedCmd(p, lane, i), i) })
+					if crashed, _ := q.Crashed(); crashed {
+						t.Fatalf("lane %d crashed in the wind", lane)
+					}
+				}
+			},
+		},
+		{
+			name:    "world",
+			want:    "005ceef85e72898d26e3161c07acbe289bff0aeedad127da4e998bbbb476bb9b",
+			reasons: map[string]int{`collision with obstacle "wall"`: 1},
+			run: func(t *testing.T, d *trajectoryDigest) {
+				w := &World{Obstacles: []Obstacle{{Name: "wall", Box: mathx.AABB{
+					Min: mathx.V3(-50, -50, -6), Max: mathx.V3(50, 50, -5),
+				}}}}
+				climb := h + 0.15
+				d.fly(newTestQuad(t, WithWorld(w)), 4000, dt, func(int) [4]float64 {
+					return [4]float64{climb, climb, climb, climb}
+				})
+			},
+		},
+		{
+			name:    "impact",
+			reasons: map[string]int{"ground impact at 17.0 m/s": 1, "tip-over near ground": 8},
+			want:    "ac1889a7d8947299f018e4e91fc772456126765452c10d1686dd3ed7ccd3c139",
+			run: func(t *testing.T, d *trajectoryDigest) {
+				// Free fall from 30 m, then full asymmetric throttle with a
+				// staggered onset so flights fail on different ticks.
+				d.fly(newTestQuad(t, at(mathx.V3(0, 0, -30))), 2000, dt, func(int) [4]float64 { return [4]float64{} })
+				for lane := 0; lane < 8; lane++ {
+					d.fly(newTestQuad(t), 4000, dt, func(i int) [4]float64 {
+						if i > 100*lane {
+							return [4]float64{1, 0, 1, 0}
+						}
+						return [4]float64{h, h, h, h}
+					})
+				}
+			},
+		},
+		{
+			name:    "tipover",
+			want:    "30f9194933f581daf0dde2d50a5b02ccf9d15e7b552e4d897d9d3702fd1beb95",
+			reasons: map[string]int{"tip-over near ground": 1},
+			run: func(t *testing.T, d *trajectoryDigest) {
+				q := newTestQuad(t, WithInitialState(State{
+					Pos:   mathx.V3(0, 0, -0.25),
+					Att:   mathx.QuatFromEuler(0.9, -0.2, 0.3),
+					Omega: mathx.V3(4, 0.5, -0.2),
+				}))
+				d.fly(q, 400, dt, hover)
+			},
+		},
+		{
+			name:    "battery",
+			reasons: map[string]int{"ground impact at 14.9 m/s": 1},
+			want:    "c60d521a058b84df917bbb3684fe33d229572bdd57533a62bc914e75e919229e",
+			run: func(t *testing.T, d *trajectoryDigest) {
+				bp := p
+				bp.BatteryCapacity = 0.2
+				q, err := NewQuad(bp, at(mathx.V3(0, 0, -20)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.fly(q, 4000, dt, hover)
+				if !q.Battery().Depleted() {
+					t.Fatal("battery stream did not deplete the battery")
+				}
+			},
+		},
+		{
+			name:    "nonfinite",
+			want:    "48d3d8083dfb743d640d6158ba2288871f6e86c7e996009a353507b380b97e43",
+			reasons: map[string]int{nonFiniteStep: 8},
+			run: func(t *testing.T, d *trajectoryDigest) {
+				bad := []struct {
+					cmd [4]float64
+					dt  float64
+				}{
+					{[4]float64{math.NaN(), h, h, h}, dt},
+					{[4]float64{h, math.Inf(1), h, h}, dt},
+					{[4]float64{h, h, math.Inf(-1), h}, dt},
+					{[4]float64{h, h, h, math.NaN()}, dt},
+					{[4]float64{h, h, h, h}, math.NaN()},
+					{[4]float64{h, h, h, h}, math.Inf(1)},
+					{[4]float64{h, h, h, h}, math.Inf(-1)},
+					{[4]float64{math.Inf(1), math.NaN(), h, h}, 0},
+				}
+				for _, b := range bad {
+					q := newTestQuad(t, at(mathx.V3(0, 0, -5)))
+					d.fly(q, 50, dt, func(i int) [4]float64 { return mixedCmd(p, 0, i) })
+					q.Step([4]float64{h, h, h, h}, 0)
+					d.record(q)
+					q.Step([4]float64{h, h, h, h}, -dt)
+					d.record(q)
+					q.Step(b.cmd, b.dt)
+					d.record(q)
+					d.fly(q, 5, dt, hover)
+				}
+			},
+		},
+	}
+	for _, s := range streams {
+		t.Run(s.name, func(t *testing.T) {
+			d := newTrajectoryDigest()
+			s.run(t, d)
+			for reason, n := range s.reasons {
+				if d.reasons[reason] != n {
+					t.Fatalf("stream ended in crashes %v, want %d × %q", d.reasons, n, reason)
+				}
+			}
+			if got := d.sum(); got != s.want {
+				t.Errorf("digest = %s, want %s", got, s.want)
+			}
+		})
 	}
 }

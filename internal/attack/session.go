@@ -102,9 +102,9 @@ func NewFirmware(seed int64) (*firmware.Firmware, error) {
 }
 
 // NewFirmwareWithPlant builds the same evaluation stack as NewFirmware but
-// flying an injected plant — typically a sim.BatchQuad lane, so batched
-// rollouts share one physics kernel. The caller must hand over a pristine
-// (freshly reset) plant for the flight to match NewFirmware bit-for-bit.
+// flying an injected plant, for example a wrapper that times each physics
+// step. The caller must hand over a pristine (freshly built) plant for the
+// flight to match NewFirmware bit-for-bit.
 func NewFirmwareWithPlant(seed int64, plant sim.Vehicle) (*firmware.Firmware, error) {
 	sensorCfg := sensors.DefaultConfig()
 	sensorCfg.Seed = seed

@@ -44,31 +44,20 @@ func NewExecutor() Executor {
 	return e.run
 }
 
-// GroupExecutor runs several jobs from one campaign cell (same axes,
-// different trial seeds) as a single batched lockstep rollout.
-// Implementations must return one Metrics per job, in order, and each
-// job's metrics must be deterministic in that job's Seed alone — identical
-// to what the scalar Executor would produce for the same job.
+// GroupExecutor ran one campaign cell's trials as a single lockstep
+// batched rollout.
+//
+// Deprecated: the lockstep batch kernel is gone and Runner ignores
+// Runner.ExecuteGroup; every job runs through Executor. The type remains
+// only so existing callers compile.
 type GroupExecutor func(ctx context.Context, jobs []Job) ([]Metrics, error)
 
-// NewBatchExecutor returns the scalar executor plus its batched group
-// companion. Both share one per-mission monitor cache, so mixing them in a
-// run calibrates each mission once. Give both to a Runner (Execute +
-// ExecuteGroup) to batch a cell's trials through the structure-of-arrays
-// simulation kernel while non-batchable cells keep the scalar path.
+// NewBatchExecutor returns NewExecutor() and a nil group executor.
+//
+// Deprecated: batched execution is gone; use NewExecutor. Runner ignores
+// the ExecuteGroup field this used to fill.
 func NewBatchExecutor() (Executor, GroupExecutor) {
-	e := &aresExecutor{monitors: make(map[string]*monitorEntry)}
-	return e.run, e.runGroup
-}
-
-// Batchable reports whether a job may join a batched trial group: the
-// RL deviation goal with the (default) reinforce learner. Crash cells need
-// an obstacle world per environment, stealthy cells are single session
-// flights, and the tabular ablation learner has no lockstep trainer — all
-// keep the scalar path.
-func Batchable(job Job) bool {
-	return job.Goal == GoalDeviation && job.Attack == AttackRL &&
-		(job.Learner == "" || job.Learner == "reinforce")
+	return NewExecutor(), nil
 }
 
 func (e *aresExecutor) monitor(job Job) (*defense.ControlInvariants, error) {
@@ -132,9 +121,7 @@ func (e *aresExecutor) run(ctx context.Context, job Job) (Metrics, error) {
 	}
 }
 
-// exploitConfig builds one job's exploit training configuration. The scalar
-// and batched paths both go through here, so a batched lane trains from a
-// config byte-identical to its scalar counterpart.
+// exploitConfig builds one job's exploit training configuration.
 func (e *aresExecutor) exploitConfig(job Job) (core.ExploitConfig, error) {
 	mission, err := job.Mission.Build()
 	if err != nil {
@@ -171,35 +158,6 @@ func (e *aresExecutor) exploitConfig(job Job) (core.ExploitConfig, error) {
 		Seed:     mathx.DeriveSeed(job.Seed, streamJobPolicy),
 		Learner:  job.Learner,
 	}, nil
-}
-
-// runGroup executes one batched trial group: every job becomes a lane of a
-// shared structure-of-arrays simulation batch, trained in lockstep. Job k's
-// metrics are bit-identical to running it through the scalar executor.
-func (e *aresExecutor) runGroup(ctx context.Context, jobs []Job) ([]Metrics, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfgs := make([]core.ExploitConfig, len(jobs))
-	for i, job := range jobs {
-		if !Batchable(job) {
-			return nil, fmt.Errorf("campaign: job %s is not batchable", job.Key)
-		}
-		cfg, err := e.exploitConfig(job)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
-	}
-	results, err := core.TrainDeviationExploitBatch(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	ms := make([]Metrics, len(jobs))
-	for i, job := range jobs {
-		ms[i] = metricsOf(job, results[i])
-	}
-	return ms, nil
 }
 
 // runStealthy executes one stealthy-injection cell. The attack is a fixed

@@ -33,9 +33,6 @@ type WorkerConfig struct {
 	FlushEvery int
 	// Execute runs one job; nil uses the built-in ARES executor.
 	Execute campaign.Executor
-	// ExecuteGroup, when non-nil, batches trial groups (see
-	// campaign.Runner.ExecuteGroup).
-	ExecuteGroup campaign.GroupExecutor
 	// Client issues the HTTP calls; nil uses a 30s-timeout client.
 	Client *http.Client
 	// Log receives worker log lines; nil discards.
@@ -209,10 +206,9 @@ func (w *Worker) runLease(ctx context.Context, grant LeaseResponse) error {
 
 	sink := &streamSink{w: w, ctx: leaseCtx, lease: grant.Lease}
 	runner := &campaign.Runner{
-		Workers:      w.cfg.Jobs,
-		Execute:      w.cfg.Execute,
-		ExecuteGroup: w.cfg.ExecuteGroup,
-		Log:          w.cfg.Log,
+		Workers: w.cfg.Jobs,
+		Execute: w.cfg.Execute,
+		Log:     w.cfg.Log,
 	}
 	_, runErr := runner.RunJobs(leaseCtx, jobs, sink)
 	flushErr := sink.flush()

@@ -52,11 +52,10 @@ func (m Mode) String() string {
 type Config struct {
 	// Vehicle selects the airframe; zero value means IRIS+.
 	Vehicle sim.VehicleParams
-	// Plant optionally injects the vehicle to fly — typically a
-	// sim.BatchQuad lane, so N firmware instances can share one
-	// structure-of-arrays physics kernel. Nil builds a scalar sim.Quad
-	// from Vehicle/Wind/World; when set, Wind and World must be nil
-	// (they configure the built-in plant only).
+	// Plant optionally injects the vehicle to fly, for example a wrapper
+	// that times or records each physics step. Nil builds a sim.Quad from
+	// Vehicle/Wind/World; when set, Wind and World must be nil (they
+	// configure the built-in plant only).
 	Plant sim.Vehicle
 	// Sensors sets sensor noise; zero value means DefaultConfig.
 	Sensors sensors.Config

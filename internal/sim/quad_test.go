@@ -290,19 +290,19 @@ func TestQuadStepGuards(t *testing.T) {
 		reason string // crash reason; "" means no crash
 		check  func(t *testing.T, s State)
 	}{
-		{name: "zero dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: 0,
+		{name: "zero-dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: 0,
 			check: func(t *testing.T, s State) {
 				if s != rest {
 					t.Errorf("zero-dt step changed state: %+v", s)
 				}
 			}},
-		{name: "negative dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: -dt,
+		{name: "negative-dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: -dt,
 			check: func(t *testing.T, s State) {
 				if s != rest {
 					t.Errorf("negative-dt step changed state: %+v", s)
 				}
 			}},
-		{name: "clamped cmd", cmd: [4]float64{5, -3, 0.5, 0.5}, dt: dt,
+		{name: "clamped-cmd", cmd: [4]float64{5, -3, 0.5, 0.5}, dt: dt,
 			check: func(t *testing.T, s State) {
 				for i, m := range s.Motor {
 					if m < 0 || m > 1 {
@@ -310,12 +310,12 @@ func TestQuadStepGuards(t *testing.T) {
 					}
 				}
 			}},
-		{name: "nan cmd", cmd: [4]float64{math.NaN(), 0.5, 0.5, 0.5}, dt: dt, reason: nonFiniteStep},
-		{name: "+inf cmd", cmd: [4]float64{0.5, math.Inf(1), 0.5, 0.5}, dt: dt, reason: nonFiniteStep},
-		{name: "-inf cmd", cmd: [4]float64{0.5, 0.5, math.Inf(-1), 0.5}, dt: dt, reason: nonFiniteStep},
-		{name: "nan dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.NaN(), reason: nonFiniteStep},
-		{name: "+inf dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.Inf(1), reason: nonFiniteStep},
-		{name: "-inf dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.Inf(-1), reason: nonFiniteStep},
+		{name: "nan-cmd", cmd: [4]float64{math.NaN(), 0.5, 0.5, 0.5}, dt: dt, reason: nonFiniteStep},
+		{name: "inf-cmd", cmd: [4]float64{0.5, math.Inf(1), 0.5, 0.5}, dt: dt, reason: nonFiniteStep},
+		{name: "neg-inf-cmd", cmd: [4]float64{0.5, 0.5, math.Inf(-1), 0.5}, dt: dt, reason: nonFiniteStep},
+		{name: "nan-dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.NaN(), reason: nonFiniteStep},
+		{name: "inf-dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.Inf(1), reason: nonFiniteStep},
+		{name: "neg-inf-dt", cmd: [4]float64{0.5, 0.5, 0.5, 0.5}, dt: math.Inf(-1), reason: nonFiniteStep},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -359,9 +359,9 @@ func TestPixhawk4ParamsValid(t *testing.T) {
 
 // mixedCmd builds a deterministic command pattern that exercises
 // transients, asymmetry and near-hover flight without immediately crashing.
-func mixedCmd(p VehicleParams, lane, step int) [4]float64 {
+func mixedCmd(p VehicleParams, flight, step int) [4]float64 {
 	h := p.HoverThrottle()
-	f := float64((step+37*lane)%997) / 997
+	f := float64((step+37*flight)%997) / 997
 	return [4]float64{
 		h + 0.2*(f-0.5),
 		h - 0.1*(f-0.5),
@@ -447,10 +447,10 @@ func (d *trajectoryDigest) sum() string { return hex.EncodeToString(d.h.Sum(nil)
 
 // TestQuadStepDigest pins Quad.Step bit for bit: a SHA-256 over every
 // published float of several command streams — mixed commands, wind, an
-// obstacle world, hard impacts, a tip-over, battery depletion and
-// non-finite inputs. The digests were recorded from the Vec3/Quat-method
-// RK4 before the step was flattened; any reordering of the arithmetic, a
-// dropped signed-zero term or a changed crash decision moves them.
+// obstacle world, hard impacts, a tip-over, negative-zero starts, battery
+// depletion and non-finite inputs. The digests were recorded from the
+// Vec3/Quat-method RK4 before the step was flattened; a reassociated
+// expression or a changed crash decision moves them.
 func TestQuadStepDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The recorded bits assume no fused multiply-add: amd64 Go emits
@@ -482,8 +482,8 @@ func TestQuadStepDigest(t *testing.T) {
 				if crashed, _ := q.Crashed(); crashed || q.State().Altitude() < 1 {
 					t.Fatalf("stabilized flight ended at %+v", q.State())
 				}
-				for lane := 0; lane < 8; lane++ {
-					d.fly(newTestQuad(t), 2000, dt, func(i int) [4]float64 { return mixedCmd(p, lane, i) })
+				for flight := 0; flight < 8; flight++ {
+					d.fly(newTestQuad(t), 2000, dt, func(i int) [4]float64 { return mixedCmd(p, flight, i) })
 				}
 			},
 		},
@@ -491,12 +491,12 @@ func TestQuadStepDigest(t *testing.T) {
 			name: "wind",
 			want: "62598d4786421bcb218fbd64e7fcf213b6e1c6358ad89c5244028209f6007da4",
 			run: func(t *testing.T, d *trajectoryDigest) {
-				for lane := 0; lane < 4; lane++ {
-					w := NewWind(mathx.V3(2, 1, 0), 1.5, int64(100+lane))
+				for flight := 0; flight < 4; flight++ {
+					w := NewWind(mathx.V3(2, 1, 0), 1.5, int64(100+flight))
 					q := newTestQuad(t, WithWind(w))
-					d.fly(q, 8000, dt, func(i int) [4]float64 { return stabilizedCmd(q, mixedCmd(p, lane, i), i) })
+					d.fly(q, 8000, dt, func(i int) [4]float64 { return stabilizedCmd(q, mixedCmd(p, flight, i), i) })
 					if crashed, _ := q.Crashed(); crashed {
-						t.Fatalf("lane %d crashed in the wind", lane)
+						t.Fatalf("flight %d crashed in the wind", flight)
 					}
 				}
 			},
@@ -523,9 +523,9 @@ func TestQuadStepDigest(t *testing.T) {
 				// Free fall from 30 m, then full asymmetric throttle with a
 				// staggered onset so flights fail on different ticks.
 				d.fly(newTestQuad(t, at(mathx.V3(0, 0, -30))), 2000, dt, func(int) [4]float64 { return [4]float64{} })
-				for lane := 0; lane < 8; lane++ {
+				for flight := 0; flight < 8; flight++ {
 					d.fly(newTestQuad(t), 4000, dt, func(i int) [4]float64 {
-						if i > 100*lane {
+						if i > 100*flight {
 							return [4]float64{1, 0, 1, 0}
 						}
 						return [4]float64{h, h, h, h}
@@ -544,6 +544,27 @@ func TestQuadStepDigest(t *testing.T) {
 					Omega: mathx.V3(4, 0.5, -0.2),
 				}))
 				d.fly(q, 400, dt, hover)
+			},
+		},
+		{
+			name: "signedzero",
+			want: "020f0c4ba8ecc560812b102350c9feff0369da821ca30a3130781f7bb48814d5",
+			run: func(t *testing.T, d *trajectoryDigest) {
+				// Exactly-zero motion from negative-zero starts, so the
+				// digest also covers the sign bits of zero results.
+				nz := math.Copysign(0, -1)
+				for _, c := range []float64{0, h} {
+					for _, z := range []float64{nz, -10} {
+						q := newTestQuad(t, WithInitialState(State{
+							Pos:   mathx.V3(nz, nz, z),
+							Vel:   mathx.V3(nz, nz, nz),
+							Att:   mathx.Quat{W: 1, X: nz, Y: nz, Z: nz},
+							Omega: mathx.V3(nz, nz, nz),
+							Motor: [4]float64{c, c, c, c},
+						}))
+						d.fly(q, 50, dt, func(int) [4]float64 { return [4]float64{c, c, c, c} })
+					}
+				}
 			},
 		},
 		{

@@ -2,9 +2,9 @@ package sim
 
 import "github.com/ares-cps/ares/internal/mathx"
 
-// Vehicle is the plant interface the firmware stack flies: the scalar Quad
-// and a single lane of a BatchQuad are interchangeable behind it, which is
-// how N firmware instances share one structure-of-arrays physics kernel.
+// Vehicle is the plant interface the firmware stack flies. Quad is the one
+// implementation in the simulator; the interface lets a caller wrap the
+// plant, for example to time or record each physics step.
 type Vehicle interface {
 	// State returns a copy of the rigid-body state.
 	State() State
@@ -26,7 +26,4 @@ type Vehicle interface {
 	Reset(pos mathx.Vec3)
 }
 
-var (
-	_ Vehicle = (*Quad)(nil)
-	_ Vehicle = (*LaneQuad)(nil)
-)
+var _ Vehicle = (*Quad)(nil)

@@ -337,6 +337,25 @@ func TestQuadStepGuards(t *testing.T) {
 
 // TestQuadStepAllocs gates the physics step at zero allocations: it runs
 // 400 times per simulated second of every flight.
+// TestQuadStepNonFinite pins the two non-finite holes Step once had: a
+// -Inf command must crash loudly, and a NaN dt (which used to slip past the
+// dt <= 0 guard) must crash without touching the state.
+func TestQuadStepNonFinite(t *testing.T) {
+	q := newTestQuad(t)
+	q.Step([4]float64{0.5, 0.5, math.Inf(-1), 0.5}, 1.0/400)
+	if c, reason := q.Crashed(); !c || reason != nonFiniteStep {
+		t.Fatalf("crashed=%v reason=%q, want loud non-finite rejection", c, reason)
+	}
+	q2 := newTestQuad(t)
+	q2.Step([4]float64{0.5, 0.5, 0.5, 0.5}, math.NaN())
+	if c, reason := q2.Crashed(); !c || reason != nonFiniteStep {
+		t.Fatalf("NaN dt: crashed=%v reason=%q", c, reason)
+	}
+	if s := q2.State(); s != (State{Att: mathx.QuatIdentity()}) {
+		t.Fatalf("NaN dt mutated state: %+v", s)
+	}
+}
+
 func TestQuadStepAllocs(t *testing.T) {
 	q := newTestQuad(t, WithWind(NewWind(mathx.V3(2, 1, 0), 1.5, 7)), WithInitialState(State{
 		Pos: mathx.V3(0, 0, -10),

@@ -103,9 +103,10 @@ func (e *EKF) Reset(pos mathx.Vec3, yaw float64) {
 }
 
 // Predict propagates the state with one IMU sample: gyro body rates and
-// accelerometer specific force, both in the body frame.
+// accelerometer specific force, both in the body frame. A non-positive or
+// non-finite dt is a no-op.
 func (e *EKF) Predict(gyro, accel mathx.Vec3, dt float64) {
-	if dt <= 0 {
+	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return
 	}
 	roll, pitch, yaw := e.x[ixRoll], e.x[ixPitch], e.x[ixYaw]
@@ -137,23 +138,13 @@ func (e *EKF) Predict(gyro, accel mathx.Vec3, dt float64) {
 	e.x[ixPE] += e.x[ixVE] * dt
 	e.x[ixPD] += e.x[ixVD] * dt
 
-	// Covariance: F ≈ I with pos←vel coupling; add process noise Q.
-	var f [n][n]float64
+	// Covariance: P ← F·P·Fᵀ + Q·dt, with Q diagonal and one noise level
+	// per three-state block (attitude, velocity, position).
+	predictCov(&e.p, dt)
+	q := [3]float64{sq(e.cfg.GyroNoise) * dt, sq(e.cfg.AccelNoise) * dt, sq(e.cfg.PosNoise) * dt}
 	for i := 0; i < n; i++ {
-		f[i][i] = 1
+		e.p[i][i] += q[i/3]
 	}
-	f[ixPN][ixVN] = dt
-	f[ixPE][ixVE] = dt
-	f[ixPD][ixVD] = dt
-	// Attitude errors tip the thrust vector, coupling into velocity.
-	f[ixVN][ixPitch] = -gravity * dt
-	f[ixVE][ixRoll] = gravity * dt
-
-	e.p = addDiag(matMulT(f, e.p), [n]float64{
-		sq(e.cfg.GyroNoise) * dt, sq(e.cfg.GyroNoise) * dt, sq(e.cfg.GyroNoise) * dt,
-		sq(e.cfg.AccelNoise) * dt, sq(e.cfg.AccelNoise) * dt, sq(e.cfg.AccelNoise) * dt,
-		sq(e.cfg.PosNoise) * dt, sq(e.cfg.PosNoise) * dt, sq(e.cfg.PosNoise) * dt,
-	})
 	e.syncOutputs()
 }
 
@@ -299,34 +290,33 @@ func (e *EKF) RegisterVars(set *vars.Set) error {
 
 func sq(v float64) float64 { return v * v }
 
-// matMulT computes F·P·Fᵀ for the covariance prediction.
-func matMulT(f, p [n][n]float64) [n][n]float64 {
-	var fp [n][n]float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += f[i][k] * p[k][j]
-			}
-			fp[i][j] = s
-		}
+// predictCov propagates the covariance in place, P ← F·P·Fᵀ. The
+// transition Jacobian F is the identity plus five couplings: position
+// integrates velocity (dt) and an attitude error tips the thrust vector
+// into horizontal velocity (∓g·dt), so only the rows and then the columns
+// of the position and velocity states change. Each entry is the dense
+// product's sum with its exact-zero terms dropped and the rest kept in
+// ascending-k order from +0.0, which is bit-identical to the dense product
+// while P is finite and free of −0 (see DESIGN.md, "Sparse covariance
+// predict").
+func predictCov(p *[n][n]float64, dt float64) {
+	gdt := gravity * dt
+	// Rows of F·P. Each position row reads the old velocity row, so it is
+	// updated first.
+	for j := 0; j < n; j++ {
+		p[ixPN][j] = 0.0 + dt*p[ixVN][j] + p[ixPN][j]
+		p[ixPE][j] = 0.0 + dt*p[ixVE][j] + p[ixPE][j]
+		p[ixPD][j] = 0.0 + dt*p[ixVD][j] + p[ixPD][j]
+		p[ixVN][j] = 0.0 + (-gdt)*p[ixPitch][j] + p[ixVN][j]
+		p[ixVE][j] = 0.0 + gdt*p[ixRoll][j] + p[ixVE][j]
 	}
-	var out [n][n]float64
+	// Columns of (F·P)·Fᵀ, in the same order.
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += fp[i][k] * f[j][k]
-			}
-			out[i][j] = s
-		}
+		r := &p[i]
+		r[ixPN] = 0.0 + dt*r[ixVN] + r[ixPN]
+		r[ixPE] = 0.0 + dt*r[ixVE] + r[ixPE]
+		r[ixPD] = 0.0 + dt*r[ixVD] + r[ixPD]
+		r[ixVN] = 0.0 + (-gdt)*r[ixPitch] + r[ixVN]
+		r[ixVE] = 0.0 + gdt*r[ixRoll] + r[ixVE]
 	}
-	return out
-}
-
-func addDiag(m [n][n]float64, d [n]float64) [n][n]float64 {
-	for i := 0; i < n; i++ {
-		m[i][i] += d[i]
-	}
-	return m
 }

@@ -25,6 +25,7 @@ import (
 	"github.com/ares-cps/ares/internal/dataflash"
 	"github.com/ares-cps/ares/internal/ekf"
 	"github.com/ares-cps/ares/internal/experiments"
+	"github.com/ares-cps/ares/internal/firmware"
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/mavlink"
 	"github.com/ares-cps/ares/internal/stats"
@@ -219,21 +220,38 @@ func BenchmarkFuzzBaseline(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkFirmwareTick measures one 400 Hz main-loop iteration of the full
-// flight stack (sensors, EKF, SINS, cascade, mixer, physics).
+// BenchmarkFirmwareTick measures the 400 Hz main loop of the full flight
+// stack (sensors, EKF, SINS, cascade, mixer, physics) over the window a
+// campaign episode flies: 8 s takeoff, then 18 s AUTO on a 60 m line. One
+// op is one window on a fresh firmware, built outside the timer; ns/tick is
+// the per-iteration cost. Fixed windows keep every tick on a flying
+// vehicle: an open-ended hover runs the battery down, lands and tips over
+// within b.N ticks, after which the plant step returns at once.
 func BenchmarkFirmwareTick(b *testing.B) {
-	fw, err := attack.NewFirmware(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := fw.Takeoff(10); err != nil {
-		b.Fatal(err)
-	}
-	fw.RunFor(5)
-	b.ResetTimer()
+	const setupS, missionS = 8.0, 18.0
+	ticks := 0
 	for i := 0; i < b.N; i++ {
-		fw.Step()
+		b.StopTimer()
+		fw, err := attack.NewFirmware(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fw.Takeoff(10); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		fw.RunFor(setupS)
+		fw.LoadMission(firmware.LineMission(60, 10))
+		if err := fw.StartMission(); err != nil {
+			b.Fatal(err)
+		}
+		fw.RunFor(missionS)
+		ticks += int(setupS/fw.DT()) + int(missionS/fw.DT())
+		if crashed, reason := fw.Quad().Crashed(); crashed || !fw.Armed() {
+			b.Fatalf("window ended crashed=%v (%s) armed=%v", crashed, reason, fw.Armed())
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/tick")
 }
 
 func BenchmarkEKFPredict(b *testing.B) {

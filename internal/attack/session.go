@@ -406,18 +406,46 @@ func RecoveryRefsOf(fw *firmware.Firmware) (defense.RecoveryRefs, error) {
 // vehicle track it stays self-consistent, while an attack that makes the
 // vehicle diverge from its own targets (e.g. forcing the rate integrator)
 // is caught.
-type CIObserver struct{}
+type CIObserver struct {
+	// fw is the firmware the target cells below were resolved from.
+	fw                        *firmware.Firmware
+	desRoll, desPitch, desYaw *float64
+}
 
-func NewCIObserver(_ *firmware.Firmware) *CIObserver { return &CIObserver{} }
+// NewCIObserver builds an observer bound to fw's attitude-target cells.
+func NewCIObserver(fw *firmware.Firmware) *CIObserver {
+	o := &CIObserver{}
+	o.bind(fw)
+	return o
+}
 
-// Sample builds one CI observation from the running firmware.
+// bind resolves the ATT.Des* cells once; an unregistered cell reads 0.
+func (o *CIObserver) bind(fw *firmware.Firmware) {
+	o.fw = fw
+	if fw == nil {
+		return
+	}
+	cell := func(name string) *float64 {
+		if ref, ok := fw.Vars().Lookup(name); ok {
+			return ref.Ptr
+		}
+		return new(float64)
+	}
+	o.desRoll, o.desPitch, o.desYaw = cell("ATT.DesRoll"), cell("ATT.DesPitch"), cell("ATT.DesYaw")
+}
+
+// Sample builds one CI observation from the running firmware, re-binding
+// first if fw is not the firmware the observer was built for.
 func (o *CIObserver) Sample(fw *firmware.Firmware) defense.CISample {
+	if fw != o.fw {
+		o.bind(fw)
+	}
 	roll, pitch, yaw := fw.Quad().State().Euler()
 	return defense.CISample{
 		Roll: roll, Pitch: pitch, Yaw: yaw,
-		DesRoll:  varOf(fw, "ATT.DesRoll"),
-		DesPitch: varOf(fw, "ATT.DesPitch"),
-		DesYaw:   varOf(fw, "ATT.DesYaw"),
+		DesRoll:  *o.desRoll,
+		DesPitch: *o.desPitch,
+		DesYaw:   *o.desYaw,
 	}
 }
 

@@ -48,6 +48,7 @@ type StealthyAttack struct {
 	Backoff float64
 
 	ref      vars.Ref
+	obs      *CIObserver
 	offset   float64
 	lastNow  float64
 	haveLast bool
@@ -87,6 +88,7 @@ func (a *StealthyAttack) Begin(fw *firmware.Firmware) error {
 		a.Backoff = 0.98
 	}
 	a.ref = ref
+	a.obs = NewCIObserver(fw)
 	a.offset = 0
 	a.haveLast = false
 	a.Shadow.Reset()
@@ -112,7 +114,7 @@ func (a *StealthyAttack) Apply(fw *firmware.Firmware, now float64) {
 	a.lastNow = now
 	a.haveLast = true
 
-	v := a.Shadow.Observe(NewCIObserver(fw).Sample(fw))
+	v := a.Shadow.Observe(a.obs.Sample(fw))
 	if v.Stat >= a.Budget*a.Shadow.Threshold {
 		a.offset *= a.Backoff
 	} else {

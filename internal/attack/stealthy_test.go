@@ -119,3 +119,38 @@ func TestSessionRecoveryBoundsAttack(t *testing.T) {
 			guarded.MaxPathDev, bare.MaxPathDev)
 	}
 }
+
+// TestStealthyApplyAllocs gates the per-tick scheduling step at zero
+// allocations: the shadow observer is built once in Begin.
+func TestStealthyApplyAllocs(t *testing.T) {
+	fw, err := NewFirmware(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Takeoff(10); err != nil {
+		t.Fatal(err)
+	}
+	fw.RunFor(4)
+	obs := NewCIObserver(fw)
+	var trace []defense.CISample
+	for i := 0; i < 2000; i++ {
+		fw.Step()
+		trace = append(trace, obs.Sample(fw))
+	}
+	shadow := defense.NewControlInvariants()
+	if err := shadow.Identify(trace); err != nil {
+		t.Fatal(err)
+	}
+	a := &StealthyAttack{Variable: "CMD.Roll", Shadow: shadow}
+	if err := a.Begin(fw); err != nil {
+		t.Fatal(err)
+	}
+	now := fw.Time()
+	allocs := testing.AllocsPerRun(400, func() {
+		now += fw.DT()
+		a.Apply(fw, now)
+	})
+	if allocs != 0 {
+		t.Errorf("Apply allocates %v times per tick, want 0", allocs)
+	}
+}

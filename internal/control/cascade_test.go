@@ -249,10 +249,32 @@ func TestSINSResetAndVars(t *testing.T) {
 	if got := len(set.Names()); got != 11 {
 		t.Errorf("SINS registered %d vars, want 11", got)
 	}
-	// Zero-dt Predict is a no-op.
-	before := s.Position()
-	s.Predict(mathx.V3(100, 0, 0), mathx.QuatIdentity(), 0)
-	if s.Position() != before {
-		t.Error("zero-dt Predict changed state")
+}
+
+// TestSINSPredictInvalidDTNoOp checks that a non-positive or non-finite dt
+// leaves the whole solution untouched; a NaN or +Inf step used to poison
+// velocity and position for good.
+func TestSINSPredictInvalidDTNoOp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dt   float64
+	}{
+		{"zero", 0},
+		{"negative", -testDT},
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSINS()
+			s.Reset(mathx.V3(1, 2, -3), mathx.V3(0.5, -0.2, 0.1))
+			s.Predict(mathx.V3(0.3, 0, -gravityMS2), mathx.QuatFromEuler(0.1, -0.2, 0.3), testDT)
+			s.CorrectPosition(mathx.V3(1.1, 2, -3))
+			before := *s
+			s.Predict(mathx.V3(100, 0, 0), mathx.QuatIdentity(), tc.dt)
+			if *s != before {
+				t.Errorf("Predict with dt=%v changed the solution: %+v, was %+v", tc.dt, *s, before)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package control
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -156,4 +157,31 @@ func TestPropertyPositionControllerBounded(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzSincosMatchesSinCos checks that math.Sincos, which the attitude and
+// position controllers call, returns the bits of separate math.Sin and
+// math.Cos calls, across the Cody-Waite and Payne-Hanek reduction ranges,
+// ±0, ±π and the non-finite inputs (a NaN matches any NaN).
+func FuzzSincosMatchesSinCos(f *testing.F) {
+	if runtime.GOARCH != "amd64" {
+		// The flight digests that rely on this are recorded on amd64.
+		f.Skipf("bitwise identity checked on amd64, not %s", runtime.GOARCH)
+	}
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), math.Pi, -math.Pi, math.Pi / 2, math.Pi / 4,
+		1e-310, 0.3, -2.7, 1 << 29, 1<<29 + 0.5, 1e9, 1e18, 1e300, -1e300,
+		math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add(x)
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	f.Fuzz(func(t *testing.T, x float64) {
+		s, c := math.Sincos(x)
+		if ws, wc := math.Sin(x), math.Cos(x); !same(s, ws) || !same(c, wc) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin/Cos = (%v, %v)", x, s, c, ws, wc)
+		}
+	})
 }

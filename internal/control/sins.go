@@ -1,6 +1,8 @@
 package control
 
 import (
+	"math"
+
 	"github.com/ares-cps/ares/internal/mathx"
 	"github.com/ares-cps/ares/internal/vars"
 )
@@ -37,9 +39,10 @@ func NewSINS() *SINS {
 
 // Predict integrates one accelerometer sample. accelBody is the specific
 // force in the body frame; att rotates body to world. Gravity is added back
-// to recover kinematic acceleration.
+// to recover kinematic acceleration. A non-positive or non-finite dt is a
+// no-op.
 func (s *SINS) Predict(accelBody mathx.Vec3, att mathx.Quat, dt float64) {
-	if dt <= 0 {
+	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		return
 	}
 	s.dt = dt

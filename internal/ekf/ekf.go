@@ -71,6 +71,11 @@ type EKF struct {
 	x [n]float64    // state estimate
 	p [n][n]float64 // covariance
 
+	// att caches QuatFromEuler of the attitude in x while attOK holds.
+	// Predict builds it anyway; fuseScalar and Reset clear attOK.
+	att   mathx.Quat
+	attOK bool
+
 	// Live log variables (EKF1 record): exported via RegisterVars.
 	roll, pitch, yaw float64
 	vn, ve, vd       float64
@@ -99,6 +104,7 @@ func (e *EKF) Reset(pos mathx.Vec3, yaw float64) {
 	for i := 0; i < n; i++ {
 		e.p[i][i] = 1.0
 	}
+	e.attOK = false
 	e.syncOutputs()
 }
 
@@ -127,8 +133,9 @@ func (e *EKF) Predict(gyro, accel mathx.Vec3, dt float64) {
 	e.x[ixYaw] = mathx.WrapPi(yaw + yawRate*dt)
 
 	// Velocity: rotate specific force to world, add gravity.
-	att := mathx.QuatFromEuler(e.x[ixRoll], e.x[ixPitch], e.x[ixYaw])
-	accWorld := att.Rotate(accel).Add(mathx.V3(0, 0, gravity))
+	e.att = mathx.QuatFromEuler(e.x[ixRoll], e.x[ixPitch], e.x[ixYaw])
+	e.attOK = true
+	accWorld := e.att.Rotate(accel).Add(mathx.V3(0, 0, gravity))
 	e.x[ixVN] += accWorld.X * dt
 	e.x[ixVE] += accWorld.Y * dt
 	e.x[ixVD] += accWorld.Z * dt
@@ -205,6 +212,7 @@ func (e *EKF) fuseScalar(idx int, z, r float64) {
 		return
 	}
 	innov := z - e.x[idx]
+	e.attOK = false
 	var k [n]float64
 	for i := 0; i < n; i++ {
 		k[i] = e.p[i][idx] / s
@@ -237,6 +245,17 @@ func (e *EKF) syncOutputs() {
 // Attitude returns the estimated (roll, pitch, yaw) in radians.
 func (e *EKF) Attitude() (roll, pitch, yaw float64) {
 	return e.x[ixRoll], e.x[ixPitch], e.x[ixYaw]
+}
+
+// AttitudeQuat returns QuatFromEuler of Attitude, bit for bit. It reuses
+// the quaternion the last Predict built and recomputes it only after a
+// fusion or Reset has moved the state.
+func (e *EKF) AttitudeQuat() mathx.Quat {
+	if !e.attOK {
+		e.att = mathx.QuatFromEuler(e.x[ixRoll], e.x[ixPitch], e.x[ixYaw])
+		e.attOK = true
+	}
+	return e.att
 }
 
 // Velocity returns the estimated NED velocity.

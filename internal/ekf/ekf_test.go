@@ -298,11 +298,20 @@ func cadenceTick(e *EKF, i int) (fused bool) {
 // filterDigest accumulates the float bits of the state estimate, the full
 // covariance and the NKF4 innovations after every step of a stream.
 type filterDigest struct {
+	t   *testing.T
 	h   hash.Hash
 	buf []byte
 }
 
+// record hashes the filter and checks AttitudeQuat, cached or rebuilt,
+// bit for bit against QuatFromEuler of Attitude.
 func (d *filterDigest) record(e *EKF) {
+	bits := func(q mathx.Quat) [4]uint64 {
+		return [4]uint64{math.Float64bits(q.W), math.Float64bits(q.X), math.Float64bits(q.Y), math.Float64bits(q.Z)}
+	}
+	if got, want := e.AttitudeQuat(), mathx.QuatFromEuler(e.Attitude()); bits(got) != bits(want) {
+		d.t.Fatalf("AttitudeQuat = %+v, QuatFromEuler(Attitude) = %+v", got, want)
+	}
 	d.buf = d.buf[:0]
 	f := func(v float64) { d.buf = binary.LittleEndian.AppendUint64(d.buf, math.Float64bits(v)) }
 	for _, v := range e.x {
@@ -412,7 +421,7 @@ func TestEKFDigest(t *testing.T) {
 	}
 	for _, s := range streams {
 		t.Run(s.name, func(t *testing.T) {
-			d := &filterDigest{h: sha256.New()}
+			d := &filterDigest{t: t, h: sha256.New()}
 			s.run(d)
 			if got := hex.EncodeToString(d.h.Sum(nil)); got != s.want {
 				t.Errorf("digest = %s, want %s", got, s.want)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ares-cps/ares/internal/control"
 	"github.com/ares-cps/ares/internal/dataflash"
@@ -119,9 +120,16 @@ type Firmware struct {
 
 	lastReading sensors.Reading
 
+	// Battery failsafe parameters, bound like the controller gains so
+	// the per-tick check reads fields instead of the parameter table.
+	fsBattEnable, battLowVolt float64
+
 	inboxMu sync.Mutex
 	inbox   []mavlink.Message
 	outbox  []mavlink.Message
+	// inboxLen mirrors len(inbox) so a tick with no GCS traffic skips
+	// the mutex.
+	inboxLen atomic.Int32
 }
 
 // New assembles a firmware instance. All controller variables are registered
@@ -320,6 +328,8 @@ func (f *Firmware) bindParams() error {
 		"PSC_VELZ_P":       &f.pos.VelZ.KP,
 		"SINS_VEL_GAIN":    &f.sins.VelGain,
 		"SINS_POS_GAIN":    &f.sins.PosGain,
+		"FS_BATT_ENABLE":   &f.fsBattEnable,
+		"BATT_LOW_VOLT":    &f.battLowVolt,
 	}
 	for name, ptr := range bindings {
 		if err := f.params.Bind(name, ptr); err != nil {
@@ -453,8 +463,8 @@ func (f *Firmware) Step() {
 	f.drainInbox()
 
 	// Sense.
-	r := f.suite.Sample(f.quad.Time(), f.quad.State(), f.quad.LastAccel(), f.quad.Battery())
-	f.lastReading = r
+	f.lastReading = f.suite.Sample(f.quad.Time(), f.quad.State(), f.quad.LastAccel(), f.quad.Battery())
+	r := &f.lastReading
 	f.copySensorVars(r)
 
 	// Estimate.
@@ -466,8 +476,7 @@ func (f *Firmware) Step() {
 		f.est.FuseBaro(r.BaroAlt)
 		f.est.FuseMag(r.MagYaw)
 	}
-	estRoll, estPitch, estYaw := f.est.Attitude()
-	f.sins.Predict(r.IMU.Accel, mathx.QuatFromEuler(estRoll, estPitch, estYaw), f.dt)
+	f.sins.Predict(r.IMU.Accel, f.est.AttitudeQuat(), f.dt)
 	if r.GPSFresh {
 		f.est.FuseGPS(r.GPS.Pos, r.GPS.Vel)
 		f.sins.CorrectPosition(r.GPS.Pos)
@@ -508,7 +517,7 @@ func (f *Firmware) RunFor(seconds float64) {
 	f.StepN(int(seconds / f.dt))
 }
 
-func (f *Firmware) copySensorVars(r sensors.Reading) {
+func (f *Firmware) copySensorVars(r *sensors.Reading) {
 	f.gyrX, f.gyrY, f.gyrZ = r.IMU.Gyro.X, r.IMU.Gyro.Y, r.IMU.Gyro.Z
 	f.accX, f.accY, f.accZ = r.IMU.Accel.X, r.IMU.Accel.Y, r.IMU.Accel.Z
 	f.gyr2X, f.gyr2Y, f.gyr2Z = r.IMU2.Gyro.X, r.IMU2.Gyro.Y, r.IMU2.Gyro.Z
@@ -572,18 +581,10 @@ func (f *Firmware) runControllers() [4]float64 {
 func (f *Firmware) SetAttackHook(hook func()) { f.attackHook = hook }
 
 func (f *Firmware) checkFailsafes() {
-	if !f.armed {
+	if !f.armed || f.fsBattEnable == 0 {
 		return
 	}
-	enabled, err := f.params.Get("FS_BATT_ENABLE")
-	if err != nil || enabled == 0 {
-		return
-	}
-	lowV, err := f.params.Get("BATT_LOW_VOLT")
-	if err != nil {
-		return
-	}
-	if f.quad.Battery().Voltage < lowV && f.mode != ModeRTL && f.mode != ModeLand {
+	if f.quad.Battery().Voltage < f.battLowVolt && f.mode != ModeRTL && f.mode != ModeLand {
 		f.mode = ModeLand
 	}
 }

@@ -12,6 +12,7 @@ func (f *Firmware) Enqueue(m mavlink.Message) {
 	f.inboxMu.Lock()
 	defer f.inboxMu.Unlock()
 	f.inbox = append(f.inbox, m)
+	f.inboxLen.Store(int32(len(f.inbox)))
 }
 
 // DrainOutbox removes and returns any replies generated since the last call.
@@ -24,9 +25,15 @@ func (f *Firmware) DrainOutbox() []mavlink.Message {
 }
 
 func (f *Firmware) drainInbox() {
+	if f.inboxLen.Load() == 0 {
+		// A message enqueued concurrently is drained next tick, as if it
+		// had arrived just after this one started.
+		return
+	}
 	f.inboxMu.Lock()
 	pending := f.inbox
 	f.inbox = nil
+	f.inboxLen.Store(0)
 	f.inboxMu.Unlock()
 
 	var replies []mavlink.Message

@@ -50,11 +50,15 @@ func (q Quat) Euler() (roll, pitch, yaw float64) {
 		pitch = math.Asin(sinp)
 	}
 
-	// Yaw (z-axis rotation).
+	return roll, pitch, q.Yaw()
+}
+
+// Yaw returns the z-axis rotation of q, the third angle of Euler, for
+// callers that need only the heading.
+func (q Quat) Yaw() float64 {
 	siny := 2 * (q.W*q.Z + q.X*q.Y)
 	cosy := 1 - 2*(q.Y*q.Y+q.Z*q.Z)
-	yaw = math.Atan2(siny, cosy)
-	return roll, pitch, yaw
+	return math.Atan2(siny, cosy)
 }
 
 // Mul returns the quaternion product q · o (first rotate by o, then q).

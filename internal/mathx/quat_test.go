@@ -34,6 +34,33 @@ func TestQuatEulerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuatYawMatchesEuler checks Yaw bit for bit against Euler's third
+// output and the heading formula, on unit, non-unit and degenerate
+// quaternions.
+func TestQuatYawMatchesEuler(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	qs := []Quat{
+		{}, QuatIdentity(), {W: math.Copysign(0, -1), Z: 1}, {X: 1}, {Y: 1},
+		{W: math.NaN()}, {Z: math.Inf(1)}, {W: 1e-300, Z: -1e-300},
+	}
+	for i := 0; i < 20000; i++ {
+		q := Quat{W: rng.NormFloat64(), X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
+		if i%2 == 0 {
+			q = q.Normalized()
+		}
+		qs = append(qs, q)
+	}
+	for _, q := range qs {
+		_, _, yaw := q.Euler()
+		ref := math.Atan2(2*(q.W*q.Z+q.X*q.Y), 1-2*(q.Y*q.Y+q.Z*q.Z))
+		got := q.Yaw()
+		if math.Float64bits(got) != math.Float64bits(yaw) ||
+			(math.Float64bits(got) != math.Float64bits(ref) && !(math.IsNaN(got) && math.IsNaN(ref))) {
+			t.Fatalf("%+v: Yaw = %v, Euler yaw %v, formula %v", q, got, yaw, ref)
+		}
+	}
+}
+
 func TestQuatAxisAngle(t *testing.T) {
 	// 90° about Z maps X to Y.
 	q := QuatFromAxisAngle(V3(0, 0, 1), math.Pi/2)

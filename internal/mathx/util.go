@@ -15,6 +15,11 @@ func Clamp(v, lo, hi float64) float64 {
 
 // WrapPi wraps an angle in radians to (-π, π].
 func WrapPi(a float64) float64 {
+	if a > -math.Pi && a <= math.Pi {
+		// math.Mod returns an |a| < 2π unchanged, ±0 included, and the
+		// fold below never fires inside (-π, π]: skipping both is exact.
+		return a
+	}
 	a = math.Mod(a, 2*math.Pi)
 	switch {
 	case a > math.Pi:

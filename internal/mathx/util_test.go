@@ -51,6 +51,46 @@ func TestWrapPi(t *testing.T) {
 	}
 }
 
+// wrapPiMod is WrapPi without its in-range early return: the reference
+// the fast path must match bit for bit.
+func wrapPiMod(a float64) float64 {
+	a = math.Mod(a, 2*math.Pi)
+	switch {
+	case a > math.Pi:
+		a -= 2 * math.Pi
+	case a <= -math.Pi:
+		a += 2 * math.Pi
+	}
+	return a
+}
+
+// FuzzWrapPi checks WrapPi bit for bit against the Mod-only form, NaN
+// payloads aside (both return a NaN).
+func FuzzWrapPi(f *testing.F) {
+	for _, a := range []float64{
+		0, math.Copysign(0, -1), math.Pi, -math.Pi,
+		math.Nextafter(math.Pi, 4), math.Nextafter(-math.Pi, -4),
+		math.Nextafter(math.Pi, 0), math.Nextafter(-math.Pi, 0),
+		2 * math.Pi, -2 * math.Pi, 3 * math.Pi, 1e-310, -1e-310,
+		1e300, -1e300, math.MaxFloat64, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add(a)
+	}
+	f.Fuzz(func(t *testing.T, a float64) {
+		got, want := WrapPi(a), wrapPiMod(a)
+		if math.IsNaN(want) {
+			if !math.IsNaN(got) {
+				t.Fatalf("WrapPi(%v) = %v, want NaN", a, got)
+			}
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("WrapPi(%v) = %v (%#x), Mod form %v (%#x)", a, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}
+
 func TestWrap2Pi(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 1000; i++ {

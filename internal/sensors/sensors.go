@@ -136,16 +136,20 @@ func NewSuite(cfg Config) *Suite {
 // now parameter is the simulation time in seconds and accelWorld is the true
 // world-frame acceleration over the last step.
 func (s *Suite) Sample(now float64, state sim.State, accelWorld mathx.Vec3, battery sim.Battery) Reading {
+	// Specific force: what an accelerometer measures is the non-
+	// gravitational acceleration, expressed in the body frame. Both IMUs
+	// see the same one; the rotation draws no noise, so computing it
+	// once leaves the noise stream untouched.
+	specific := state.Att.RotateInverse(accelWorld.Sub(mathx.V3(0, 0, sim.Gravity)))
 	r := Reading{
 		Time:     now,
-		IMU:      s.sampleIMU(state, accelWorld, s.gyroBias, s.accelBias),
-		IMU2:     s.sampleIMU(state, accelWorld, s.gyroBias2, s.accelBias2),
+		IMU:      s.sampleIMU(state.Omega, specific, s.gyroBias, s.accelBias),
+		IMU2:     s.sampleIMU(state.Omega, specific, s.gyroBias2, s.accelBias2),
 		BaroAlt:  state.Altitude() + s.noise(s.cfg.BaroNoise),
 		BatteryV: battery.Voltage,
 		CurrentA: battery.CurrentA,
 	}
-	_, _, yaw := state.Euler()
-	r.MagYaw = mathx.WrapPi(yaw + s.noise(s.cfg.MagNoise))
+	r.MagYaw = mathx.WrapPi(state.Att.Yaw() + s.noise(s.cfg.MagNoise))
 
 	// GPS: enqueue a fix at the fix rate; deliver it after the latency.
 	// A denied receiver (jamming, canyon, spoof-shield fail-closed)
@@ -186,15 +190,13 @@ func (s *Suite) Sample(now float64, state sim.State, accelWorld mathx.Vec3, batt
 // already in the latency pipeline still deliver.
 func (s *Suite) SetGPSDenied(denied bool) { s.gpsDenied = denied }
 
-func (s *Suite) sampleIMU(state sim.State, accelWorld mathx.Vec3, gyroBias, accelBias mathx.Vec3) IMUReading {
-	gyro := state.Omega.
+// sampleIMU adds one IMU's biases and noise to the true body rate and
+// body-frame specific force, drawing gyro noise before accel noise.
+func (s *Suite) sampleIMU(omega, specific, gyroBias, accelBias mathx.Vec3) IMUReading {
+	gyro := omega.
 		Add(gyroBias).
 		Add(s.noiseVec(s.cfg.GyroNoise))
-	// Specific force: what an accelerometer measures is the non-
-	// gravitational acceleration, expressed in the body frame.
-	gravity := mathx.V3(0, 0, sim.Gravity)
-	specificWorld := accelWorld.Sub(gravity)
-	accel := state.Att.RotateInverse(specificWorld).
+	accel := specific.
 		Add(accelBias).
 		Add(s.noiseVec(s.cfg.AccelNoise))
 	return IMUReading{Gyro: gyro, Accel: accel}

@@ -36,6 +36,38 @@ func TestGCSLandAndRTLCommands(t *testing.T) {
 	}
 }
 
+// TestGCSEnqueueConcurrentWithStep posts messages from another goroutine
+// while the main loop runs, as a telemetry link does: the lock-free
+// empty-inbox check must neither race nor lose a message.
+func TestGCSEnqueueConcurrentWithStep(t *testing.T) {
+	f := newTestFirmware(t, Config{})
+	const n = 500
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			f.Enqueue(&mavlink.Heartbeat{})
+		}
+	}()
+	replies := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		f.Step()
+		replies += len(f.DrainOutbox())
+	}
+	// Every Enqueue happened before done closed: one more tick drains
+	// whatever the last check missed.
+	f.Step()
+	replies += len(f.DrainOutbox())
+	if replies != n {
+		t.Fatalf("%d heartbeat replies for %d messages", replies, n)
+	}
+}
+
 func TestGCSSetModeAndArmDisarm(t *testing.T) {
 	f := newTestFirmware(t, Config{})
 	f.Enqueue(&mavlink.CommandLong{Command: mavlink.CmdArmDisarm,

@@ -20,21 +20,27 @@ var benchProfile = sync.OnceValues(func() (*Profile, error) {
 
 // BenchmarkCollectProfile measures the profiling stage itself: flying the
 // benign mission on the 400 Hz firmware stack while tracing every
-// registered state variable at 16 Hz.
+// registered state variable at 16 Hz. Missions=5 is the paper's (and
+// ares.Pipeline's) profile.
 func BenchmarkCollectProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prof, err := CollectProfile(ProfileConfig{
-			Mission:  firmware.SquareMission(25, 10),
-			Missions: 1,
-			Seed:     100,
+	for _, missions := range []int{1, 5} {
+		b.Run(fmt.Sprintf("Missions=%d", missions), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prof, err := CollectProfile(ProfileConfig{
+					Mission:  firmware.SquareMission(25, 10),
+					Missions: missions,
+					Seed:     100,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(prof.Samples()), "samples")
+					b.ReportMetric(float64(len(prof.Names)), "variables")
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(prof.Samples()), "samples")
-			b.ReportMetric(float64(len(prof.Names)), "variables")
-		}
 	}
 }
 

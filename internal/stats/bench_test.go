@@ -127,21 +127,24 @@ func BenchmarkExhaustiveAICSelection(b *testing.B) {
 }
 
 // BenchmarkPruneStateVars measures the assumption-check stage (difference,
-// Jarque-Bera, runs test per variable) at ESVL scale.
+// Jarque-Bera, runs test per variable) at ESVL scale, and at the scale of
+// a whole 50 m square profile: 187 variables, 4310 increments each.
 func BenchmarkPruneStateVars(b *testing.B) {
-	series := benchSeries(64, 2000)
-	names := make([]string, len(series))
-	for i := range names {
-		names[i] = fmt.Sprintf("v%02d", i)
-	}
 	opts := DefaultPruneOptions()
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("V=64/w%d", workers), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				PruneStateVarsWorkers(names, series, opts, workers)
-			}
-		})
+	for _, shape := range []struct{ v, t int }{{64, 2000}, {187, 4311}} {
+		series := benchSeries(shape.v, shape.t)
+		names := make([]string, len(series))
+		for i := range names {
+			names[i] = fmt.Sprintf("v%02d", i)
+		}
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("V=%d/w%d", shape.v, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					PruneStateVarsWorkers(names, series, opts, workers)
+				}
+			})
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/dataflash"
 	"github.com/ares-cps/ares/internal/firmware"
+	"github.com/ares-cps/ares/internal/par"
 	"github.com/ares-cps/ares/internal/vars"
 )
 
@@ -72,7 +73,10 @@ func (p *Profile) SeriesFor(names []string) ([]string, [][]float64, []string) {
 
 // CollectProfile flies the configured benign missions and traces the state
 // variable space through the live variable set — the memory-instrumentation
-// view of the paper's profiling step.
+// view of the paper's profiling step. The flights are independent seeded
+// runs, so they fly concurrently on the process budget and merge in
+// mission order: the profile is identical at any GOMAXPROCS, and a failed
+// profile reports the lowest-index mission's error.
 func CollectProfile(cfg ProfileConfig) (*Profile, error) {
 	if cfg.Mission == nil {
 		cfg.Mission = firmware.SquareMission(25, 10)
@@ -87,60 +91,108 @@ func CollectProfile(cfg ProfileConfig) (*Profile, error) {
 		cfg.MaxMissionS = 120
 	}
 
-	prof := &Profile{
-		Series:   make(map[string][]float64),
-		SampleHz: cfg.SampleHz,
+	alt := -cfg.Mission.Target().Z
+	wps := make([]firmware.Waypoint, 0, cfg.Mission.Len())
+	for _, p := range cfg.Mission.Path() {
+		wps = append(wps, firmware.Waypoint{Pos: p})
+	}
+	flights := make([]flightTrace, cfg.Missions)
+	errs := make([]error, cfg.Missions)
+	par.Do(0, cfg.Missions, func(m int) {
+		errs[m] = flights[m].fly(cfg, m, alt, wps)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
-	for m := 0; m < cfg.Missions; m++ {
-		fw, err := attack.NewFirmware(cfg.Seed + int64(m)) //areslint:ignore seedarith golden-pinned
-		if err != nil {
-			return nil, err
+	prof := &Profile{
+		Names:       flights[0].names,
+		Series:      make(map[string][]float64, len(flights[0].names)),
+		MissionLens: make([]int, cfg.Missions),
+		SampleHz:    cfg.SampleHz,
+	}
+	total := 0
+	for m := range flights {
+		prof.MissionLens[m] = flights[m].count
+		total += flights[m].count
+	}
+	for j, name := range prof.Names {
+		var s []float64
+		if total > 0 {
+			s = make([]float64, 0, total)
 		}
-		refs, names, err := resolveRefs(fw, cfg.Variables)
-		if err != nil {
-			return nil, err
-		}
-		if m == 0 {
-			prof.Names = names
-			for _, n := range names {
-				prof.Series[n] = nil
+		for m := range flights {
+			f := &flights[m]
+			for b, block := range f.blocks[j] {
+				s = append(s, block[:min(traceBlock, f.count-b*traceBlock)]...)
 			}
+			f.blocks[j] = nil // release the flight's blocks as they merge
 		}
-
-		alt := -cfg.Mission.Target().Z
-		if err := fw.Takeoff(alt); err != nil {
-			return nil, err
-		}
-		fw.RunFor(10)
-		wps := make([]firmware.Waypoint, 0, cfg.Mission.Len())
-		for _, p := range cfg.Mission.Path() {
-			wps = append(wps, firmware.Waypoint{Pos: p})
-		}
-		fw.LoadMission(firmware.NewMission(wps))
-		if err := fw.StartMission(); err != nil {
-			return nil, err
-		}
-
-		every := int(math.Max(1, math.Round(1/(cfg.SampleHz*fw.DT()))))
-		maxTicks := int(cfg.MaxMissionS / fw.DT())
-		count := 0
-		for i := 0; i < maxTicks && !fw.Mission().Complete(); i++ {
-			fw.Step()
-			if i%every != 0 {
-				continue
-			}
-			for j, ref := range refs {
-				prof.Series[names[j]] = append(prof.Series[names[j]], ref.Get())
-			}
-			count++
-		}
-		if crashed, reason := fw.Quad().Crashed(); crashed {
-			return nil, fmt.Errorf("core: profiling mission %d crashed: %s", m, reason)
-		}
-		prof.MissionLens = append(prof.MissionLens, count)
+		prof.Series[name] = s
 	}
 	return prof, nil
+}
+
+// traceBlock is the sample count of one trace block.
+const traceBlock = 256
+
+// flightTrace is one profiling flight's samples: per variable, a chain of
+// fixed-size blocks. Blocks grow a flight of unknown length without
+// re-copying, and the merge drops each variable's blocks as it copies
+// them, so the flights' blocks and the merged series are never both held
+// in full (DESIGN.md, "Algorithm 1 hot path").
+type flightTrace struct {
+	names  []string
+	blocks [][][]float64 // [variable][block][traceBlock]
+	count  int
+}
+
+// fly flies benign mission m of cfg and traces it into f.
+func (f *flightTrace) fly(cfg ProfileConfig, m int, alt float64, wps []firmware.Waypoint) error {
+	fw, err := attack.NewFirmware(cfg.Seed + int64(m)) //areslint:ignore seedarith golden-pinned
+	if err != nil {
+		return err
+	}
+	refs, names, err := resolveRefs(fw, cfg.Variables)
+	if err != nil {
+		return err
+	}
+	f.names = names
+	f.blocks = make([][][]float64, len(refs))
+
+	if err := fw.Takeoff(alt); err != nil {
+		return err
+	}
+	fw.RunFor(10)
+	fw.LoadMission(firmware.NewMission(wps))
+	if err := fw.StartMission(); err != nil {
+		return err
+	}
+
+	every := int(math.Max(1, math.Round(1/(cfg.SampleHz*fw.DT()))))
+	maxTicks := int(cfg.MaxMissionS / fw.DT())
+	for i := 0; i < maxTicks && !fw.Mission().Complete(); i++ {
+		fw.Step()
+		if i%every != 0 {
+			continue
+		}
+		k := f.count % traceBlock
+		if k == 0 {
+			for j := range f.blocks {
+				f.blocks[j] = append(f.blocks[j], make([]float64, traceBlock))
+			}
+		}
+		for j, ref := range refs {
+			f.blocks[j][len(f.blocks[j])-1][k] = ref.Get()
+		}
+		f.count++
+	}
+	if crashed, reason := fw.Quad().Crashed(); crashed {
+		return fmt.Errorf("core: profiling mission %d crashed: %s", m, reason)
+	}
+	return nil
 }
 
 // ProfileFromLog builds a Profile from a recorded dataflash log — the

@@ -126,6 +126,56 @@ func TestPruneStateVarsTooFew(t *testing.T) {
 }
 
 func TestMedian(t *testing.T) {
-	approx(t, "odd", median([]float64{3, 1, 2}), 2, 1e-12)
-	approx(t, "even", median([]float64{4, 1, 3, 2}), 2.5, 1e-12)
+	approx(t, "odd", median([]float64{3, 1, 2}, nil), 2, 1e-12)
+	approx(t, "even", median([]float64{4, 1, 3, 2}, make([]float64, 0, 4)), 2.5, 1e-12)
+	if m := median([]float64{4, math.NaN(), 3, 2}, nil); !math.IsNaN(m) {
+		t.Errorf("median with NaN = %v, want NaN", m)
+	}
+}
+
+// TestRunsTestNaN: increments holding a NaN have no median, so the runs
+// test reports NaN, NaN wherever the NaN sits, as the prune stage's
+// Jarque-Bera p-value already does.
+func TestRunsTestNaN(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   func(n int) int
+	}{
+		{"first", func(int) int { return 0 }},
+		{"middle", func(n int) int { return n / 2 }},
+		{"last", func(n int) int { return n - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			xs := gaussian(501, 21)
+			xs[tc.at(len(xs))] = math.NaN()
+			if z, p := RunsTest(xs); !math.IsNaN(z) || !math.IsNaN(p) {
+				t.Errorf("z, p = %v, %v, want NaN, NaN", z, p)
+			}
+		})
+	}
+	// A NaN level sample puts two NaNs into the increments the prune
+	// stage tests.
+	level := gaussian(501, 22)
+	level[250] = math.NaN()
+	res := PruneStateVars([]string{"v"}, [][]float64{level}, DefaultPruneOptions())[0]
+	if !math.IsNaN(res.RunsP) || !math.IsNaN(res.JBPValue) {
+		t.Errorf("prune: RunsP %v, JBPValue %v, want NaN, NaN", res.RunsP, res.JBPValue)
+	}
+}
+
+// TestPruneStateVarsAllocs: one worker reuses its increments and sort
+// buffers across variables, so allocations do not grow with their count.
+func TestPruneStateVarsAllocs(t *testing.T) {
+	opts := DefaultPruneOptions()
+	allocs := func(v int) float64 {
+		series := benchSeries(v, 500)
+		names := make([]string, v)
+		for i := range names {
+			names[i] = "v"
+		}
+		return testing.AllocsPerRun(10, func() { PruneStateVarsWorkers(names, series, opts, 1) })
+	}
+	if a8, a64 := allocs(8), allocs(64); a8 != a64 {
+		t.Errorf("allocs per prune: %v at V=8, %v at V=64; want equal", a8, a64)
+	}
 }

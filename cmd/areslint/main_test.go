@@ -132,30 +132,6 @@ func TestMutuallyExclusiveFlags(t *testing.T) {
 	}
 }
 
-func TestCacheWarmRunIdentical(t *testing.T) {
-	cachePath := filepath.Join(t.TempDir(), "lint.cache")
-	target := "internal/lint/testdata/src/seedarith"
-
-	codeCold, outCold, errCold := runCLI(t, "-cache", cachePath, target)
-	if codeCold != 1 {
-		t.Fatalf("cold exit = %d, want 1\nstderr:\n%s", codeCold, errCold)
-	}
-	if !strings.Contains(errCold, "miss(es)") {
-		t.Errorf("cold stderr missing cache stats: %q", errCold)
-	}
-
-	codeWarm, outWarm, errWarm := runCLI(t, "-cache", cachePath, target)
-	if codeWarm != 1 {
-		t.Fatalf("warm exit = %d, want 1\nstderr:\n%s", codeWarm, errWarm)
-	}
-	if outWarm != outCold {
-		t.Errorf("warm report differs from cold:\ncold:\n%s\nwarm:\n%s", outCold, outWarm)
-	}
-	if !strings.Contains(errWarm, "0 miss(es)") {
-		t.Errorf("warm stderr should report zero misses: %q", errWarm)
-	}
-}
-
 func TestDiffPreviewsWithoutWriting(t *testing.T) {
 	fixture := "internal/lint/testdata/src/seedarith"
 	abs := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "seedarith")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -306,11 +307,29 @@ func TestDeviationEnvBasics(t *testing.T) {
 }
 
 func TestDeviationEnvRejectsBadTarget(t *testing.T) {
-	if _, err := NewDeviationEnv(EnvConfig{Variable: "IMU.GyrX"}); err == nil {
-		t.Error("cross-region target accepted (IMU lives in drivers)")
-	}
 	if _, err := NewDeviationEnv(EnvConfig{}); err == nil {
 		t.Error("missing variable accepted")
+	}
+}
+
+// TestEnvTargetErrors pins construction-time target validation for both
+// environments: a misconfigured target surfaces the memory map's own
+// access error under the "core: env target" prefix.
+func TestEnvTargetErrors(t *testing.T) {
+	wall := sim.Obstacle{Name: "wall", Box: mathx.AABB{Min: mathx.V3(35, 8, -20), Max: mathx.V3(45, 12, 0)}}
+	for _, tc := range []struct{ variable, want string }{
+		{"PIDR.INTEG", "<nil>"},
+		{"NOPE.X", `core: env target: firmware: unknown variable "NOPE.X"`},
+		{"IMU.GyrX", `core: env target: firmware: MPU violation: write of "IMU.GyrX" (region "drivers") from region "stabilizer"`},
+	} {
+		cfg := EnvConfig{Variable: tc.variable}
+		_, devErr := NewDeviationEnv(cfg)
+		_, crashErr := NewCrashEnv(cfg, wall)
+		for _, err := range []error{devErr, crashErr} {
+			if got := fmt.Sprint(err); got != tc.want {
+				t.Errorf("%s: err = %s, want %s", tc.variable, got, tc.want)
+			}
+		}
 	}
 }
 

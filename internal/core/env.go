@@ -211,11 +211,11 @@ func newFirmwareWithWorld(seed int64, world *sim.World) (*firmware.Firmware, err
 // is reachable from the configured region, so Reset cannot fail on a
 // misconfigured target.
 func validateTarget(cfg EnvConfig) error {
-	fw, err := attack.NewFirmware(cfg.Seed)
+	layout, err := firmware.StaticLayout()
 	if err != nil {
 		return err
 	}
-	if _, err := fw.Memory().Access(cfg.Region, cfg.Variable, true); err != nil {
+	if err := layout.CheckAccess(cfg.Region, cfg.Variable, true); err != nil {
 		return fmt.Errorf("core: env target: %w", err)
 	}
 	return nil

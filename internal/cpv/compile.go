@@ -3,49 +3,10 @@ package cpv
 import (
 	"fmt"
 	"sort"
-	"sync"
 
-	"github.com/ares-cps/ares/internal/attack"
 	"github.com/ares-cps/ares/internal/campaign"
+	"github.com/ares-cps/ares/internal/firmware"
 )
-
-// probe is the lazily-built firmware inventory compile-time validation
-// checks records against: the registered state-variable names, the MPU
-// regions, and which (region, variable) write accesses the memory map
-// grants. Building it boots one standard evaluation vehicle; the result is
-// cached for the process lifetime (the variable registry is static).
-var probe struct {
-	once     sync.Once
-	err      error
-	vars     map[string]bool
-	regions  map[string]bool
-	writable map[string]bool // "region/variable" pairs with write access
-}
-
-func probeInventory() error {
-	probe.once.Do(func() {
-		fw, err := attack.NewFirmware(0)
-		if err != nil {
-			probe.err = fmt.Errorf("cpv: probe firmware: %w", err)
-			return
-		}
-		probe.vars = make(map[string]bool)
-		for _, name := range fw.Vars().Names() {
-			probe.vars[name] = true
-		}
-		probe.regions = make(map[string]bool)
-		probe.writable = make(map[string]bool)
-		for _, region := range fw.Memory().Regions() {
-			probe.regions[region] = true
-			for name := range probe.vars {
-				if _, err := fw.Memory().Access(region, name, true); err == nil {
-					probe.writable[region+"/"+name] = true
-				}
-			}
-		}
-	})
-	return probe.err
-}
 
 // Check validates a record statically and against the firmware inventory:
 // every impacted variable must be registered, every named component must
@@ -57,23 +18,24 @@ func Check(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if err := probeInventory(); err != nil {
-		return err
+	layout, err := firmware.StaticLayout()
+	if err != nil {
+		return fmt.Errorf("cpv: probe firmware: %w", err)
 	}
 	components := append([]string{r.EntryComponent}, r.RequiredComponents...)
 	if r.ExitComponent != "" {
 		components = append(components, r.ExitComponent)
 	}
 	for _, c := range components {
-		if !probe.regions[c] {
+		if !layout.HasRegion(c) {
 			return fmt.Errorf("cpv: %s: unknown component %q", r.ID, c)
 		}
 	}
 	for _, v := range r.Variables {
-		if !probe.vars[v] {
+		if _, ok := layout.RegionOf(v); !ok {
 			return fmt.Errorf("cpv: %s: unknown state variable %q", r.ID, v)
 		}
-		if !probe.writable[r.EntryComponent+"/"+v] {
+		if layout.CheckAccess(r.EntryComponent, v, true) != nil {
 			return fmt.Errorf("cpv: %s: entry component %q cannot write %q", r.ID, r.EntryComponent, v)
 		}
 	}

@@ -32,6 +32,28 @@ func TestBuiltinCatalogChecks(t *testing.T) {
 	}
 }
 
+// TestCheckTargetErrors pins the inventory checks Check makes against the
+// firmware's static layout, error text included.
+func TestCheckTargetErrors(t *testing.T) {
+	base, _ := Get("ARES-CPV-001")
+	for _, tc := range []struct {
+		mutate func(*Record)
+		want   string
+	}{
+		{func(*Record) {}, "<nil>"},
+		{func(r *Record) { r.EntryComponent = "mainframe" }, `cpv: ARES-CPV-001: unknown component "mainframe"`},
+		{func(r *Record) { r.Variables = []string{"NOPE.X"} }, `cpv: ARES-CPV-001: unknown state variable "NOPE.X"`},
+		{func(r *Record) { r.EntryComponent = "drivers" },
+			fmt.Sprintf(`cpv: ARES-CPV-001: entry component "drivers" cannot write %q`, base.Variables[0])},
+	} {
+		r := base
+		tc.mutate(&r)
+		if got := fmt.Sprint(Check(r)); got != tc.want {
+			t.Errorf("err = %s, want %s", got, tc.want)
+		}
+	}
+}
+
 func TestCompileCanonical(t *testing.T) {
 	recs := Catalog()
 	opts := Options{Seed: 7, Episodes: 2, MaxSteps: 10}
@@ -90,9 +112,6 @@ func TestCompileRejects(t *testing.T) {
 		name   string
 		mutate func(*Record)
 	}{
-		{"unknown variable", func(r *Record) { r.Variables = []string{"NOPE.X"} }},
-		{"unknown component", func(r *Record) { r.EntryComponent = "mainframe" }},
-		{"unwritable from entry", func(r *Record) { r.EntryComponent = "drivers" }},
 		{"unknown mission kind", func(r *Record) { r.Missions = []string{"spiral:10"} }},
 		{"non-finite mission size", func(r *Record) { r.Missions = []string{"line:NaN"} }},
 		{"unknown defense", func(r *Record) { r.Defenses = []string{"prayer"} }},

@@ -7,6 +7,7 @@ package firmware
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/ares-cps/ares/internal/vars"
 )
@@ -50,22 +51,50 @@ const (
 	RegionActuators  = "actuators"  // motor outputs
 )
 
-// MemoryMap models the MPU configuration: a set of isolated regions and the
-// assignment of every state variable to exactly one region.
-type MemoryMap struct {
+// A Layout is the static half of the MPU configuration: the set of
+// isolated regions and the region each state variable lives in. It holds
+// no references into a running firmware, so one Layout answers access
+// questions for every firmware built from the same variable registry.
+type Layout struct {
 	regions map[string]RegionPerm
 	varHome map[string]string // variable name → region
-	vars    *vars.Set
 }
+
+// MemoryMap models the MPU configuration: a Layout over one firmware's
+// live variable set.
+type MemoryMap struct {
+	Layout
+	vars *vars.Set
+}
+
+// staticLayout builds the layout inventory once per process: the variable
+// registry and region mapping depend on no Config, so one probe firmware
+// answers for every vehicle and seed.
+var staticLayout = sync.OnceValues(func() (*Layout, error) {
+	fw, err := New(Config{})
+	if err != nil {
+		return nil, err
+	}
+	layout := fw.Memory().Layout // a copy: the probe firmware is not kept alive
+	return &layout, nil
+})
+
+// StaticLayout returns the memory layout every firmware shares, booting one
+// probe firmware on first use. Callers that validate a (region, variable)
+// target before building their own firmware query it instead of booting a
+// throwaway one.
+func StaticLayout() (*Layout, error) { return staticLayout() }
 
 // NewMemoryMap creates a map over the given variable set with the standard
 // regions preconfigured read-write (the MPU isolates regions from *each
 // other*; code inside a region has full access to it).
 func NewMemoryMap(set *vars.Set) *MemoryMap {
 	m := &MemoryMap{
-		regions: make(map[string]RegionPerm),
-		varHome: make(map[string]string),
-		vars:    set,
+		Layout: Layout{
+			regions: make(map[string]RegionPerm),
+			varHome: make(map[string]string),
+		},
+		vars: set,
 	}
 	for _, r := range []string{
 		RegionStabilizer, RegionNavigator, RegionEstimator,
@@ -95,16 +124,22 @@ func (m *MemoryMap) Assign(variable, region string) error {
 }
 
 // RegionOf returns the region holding a variable.
-func (m *MemoryMap) RegionOf(variable string) (string, bool) {
-	r, ok := m.varHome[variable]
+func (l *Layout) RegionOf(variable string) (string, bool) {
+	r, ok := l.varHome[variable]
 	return r, ok
+}
+
+// HasRegion reports whether region is one of the layout's MPU regions.
+func (l *Layout) HasRegion(region string) bool {
+	_, ok := l.regions[region]
+	return ok
 }
 
 // VarsInRegion returns the names of all variables in a region, sorted. This
 // is the attacker's reachable set after compromising that one region.
-func (m *MemoryMap) VarsInRegion(region string) []string {
+func (l *Layout) VarsInRegion(region string) []string {
 	var names []string
-	for v, r := range m.varHome {
+	for v, r := range l.varHome {
 		if r == region {
 			names = append(names, v)
 		}
@@ -114,9 +149,9 @@ func (m *MemoryMap) VarsInRegion(region string) []string {
 }
 
 // Regions returns all region names, sorted.
-func (m *MemoryMap) Regions() []string {
-	names := make([]string, 0, len(m.regions))
-	for r := range m.regions {
+func (l *Layout) Regions() []string {
+	names := make([]string, 0, len(l.regions))
+	for r := range l.regions {
 		names = append(names, r)
 	}
 	sort.Strings(names)
@@ -140,20 +175,29 @@ func (e *AccessError) Error() string {
 		op, e.Variable, e.Home, e.From)
 }
 
-// Access returns a Ref to a variable if, and only if, the requesting region
-// may touch it: same-region access is always allowed, cross-region access is
-// denied. This enforces the isolation the paper's attacker must work within
-// — having compromised one region, only that region's variables are
+// CheckAccess reports whether the requesting region may touch a variable:
+// same-region access is always allowed, cross-region access is denied.
+// This enforces the isolation the paper's attacker must work within —
+// having compromised one region, only that region's variables are
 // manipulable.
-func (m *MemoryMap) Access(fromRegion, variable string, write bool) (vars.Ref, error) {
-	home, ok := m.varHome[variable]
+func (l *Layout) CheckAccess(fromRegion, variable string, write bool) error {
+	home, ok := l.varHome[variable]
 	if !ok {
-		return vars.Ref{}, fmt.Errorf("firmware: unknown variable %q", variable)
+		return fmt.Errorf("firmware: unknown variable %q", variable)
 	}
 	if home != fromRegion {
-		return vars.Ref{}, &AccessError{
+		return &AccessError{
 			Variable: variable, From: fromRegion, Home: home, Write: write,
 		}
+	}
+	return nil
+}
+
+// Access returns a Ref to a variable if, and only if, CheckAccess allows
+// the requesting region to touch it.
+func (m *MemoryMap) Access(fromRegion, variable string, write bool) (vars.Ref, error) {
+	if err := m.CheckAccess(fromRegion, variable, write); err != nil {
+		return vars.Ref{}, err
 	}
 	ref, ok := m.vars.Lookup(variable)
 	if !ok {

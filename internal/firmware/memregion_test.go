@@ -2,8 +2,11 @@ package firmware
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
+	"github.com/ares-cps/ares/internal/sensors"
 	"github.com/ares-cps/ares/internal/vars"
 )
 
@@ -130,6 +133,54 @@ func TestRegionPermString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.perm.String(); got != tt.want {
 			t.Errorf("perm = %q, want %q", got, tt.want)
+		}
+	}
+}
+
+// TestStaticLayoutMatchesFirmware checks the shared layout inventory
+// against another seed's firmware: the same regions and the same access
+// verdict, error text included, for every (region, variable) write.
+// Concurrent first calls share one build.
+func TestStaticLayoutMatchesFirmware(t *testing.T) {
+	var wg sync.WaitGroup
+	layouts := make([]*Layout, 4)
+	for i := range layouts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			layouts[i], _ = StaticLayout()
+		}()
+	}
+	wg.Wait()
+	layout, err := StaticLayout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range layouts {
+		if l != layout {
+			t.Fatal("StaticLayout built more than once")
+		}
+	}
+
+	sensorCfg := sensors.DefaultConfig()
+	sensorCfg.Seed = 7
+	fw, err := New(Config{Sensors: sensorCfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := fw.Memory()
+	if got, want := fmt.Sprint(layout.Regions()), fmt.Sprint(mem.Regions()); got != want {
+		t.Fatalf("regions = %s, want %s", got, want)
+	}
+	for _, region := range append(mem.Regions(), "mainframe") {
+		if layout.HasRegion(region) != (region != "mainframe") {
+			t.Errorf("HasRegion(%q) = %v", region, layout.HasRegion(region))
+		}
+		for _, name := range append(fw.Vars().Names(), "NOPE.X") {
+			_, want := mem.Access(region, name, true)
+			if got := layout.CheckAccess(region, name, true); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("CheckAccess(%q, %q) = %v, want %v", region, name, got, want)
+			}
 		}
 	}
 }

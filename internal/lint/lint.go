@@ -28,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"io"
+	"sort"
 	"strings"
 
 	"github.com/ares-cps/ares/internal/par"
@@ -190,6 +191,27 @@ func Run(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
 	}
 	sortDiagnostics(all)
 	return all
+}
+
+// sortDiagnostics applies the canonical report order: file, line, column,
+// check, message.
+func sortDiagnostics(ds []Diagnostic) {
+	sort.Slice(ds, func(i, j int) bool {
+		a, b := ds[i], ds[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
+	})
 }
 
 // runPackage applies all analyzers to one package and filters

@@ -98,16 +98,20 @@ func Pearson(xs, ys []float64) float64 {
 
 // IsConstant reports whether a series never deviates from its first value
 // by more than tol. Constant intermediates (e.g. the paper's v1 KP, v2 KI,
-// v3 KD gains) are pruned before correlation analysis.
+// v3 KD gains) are pruned before correlation analysis. A series holding a
+// NaN or ±Inf is never constant, wherever the non-finite sample falls.
 func IsConstant(xs []float64, tol float64) bool {
 	if len(xs) == 0 {
 		return true
 	}
 	first := xs[0]
 	for _, x := range xs {
-		if math.Abs(x-first) > tol {
+		if !isFinite(x) || math.Abs(x-first) > tol {
 			return false
 		}
 	}
 	return true
 }
+
+// isFinite reports whether x is neither NaN nor ±Inf.
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -108,6 +108,18 @@ func TestIsConstant(t *testing.T) {
 	if !IsConstant(nil, 0) {
 		t.Error("empty series not constant")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, xs := range [][]float64{
+		{nan, 1, 1}, {1, nan, 1}, {1, 1, nan}, {nan, nan, nan},
+		{inf, inf}, {1, inf, 1}, {-inf, -inf},
+	} {
+		if IsConstant(xs, 1e-12) {
+			t.Errorf("non-finite series %v reported constant", xs)
+		}
+		if IsConstant(xs, math.Inf(1)) {
+			t.Errorf("non-finite series %v reported constant at infinite tol", xs)
+		}
+	}
 }
 
 func TestCorrelationMatrix(t *testing.T) {

@@ -166,6 +166,11 @@ func (sc *pruneScratch) check(name string, xs []float64, opts PruneOptions) Prun
 	case len(xs) < 9:
 		res.Kept = false
 		res.Reason = "too few samples"
+	case slices.ContainsFunc(xs, func(x float64) bool { return !isFinite(x) }):
+		// NaN p-values would otherwise pass the Alpha gates and carry
+		// the series into the correlation matrix.
+		res.Kept = false
+		res.Reason = "non-finite value"
 	case IsConstant(xs, opts.ConstTol):
 		res.Kept = false
 		res.Reason = "constant value"

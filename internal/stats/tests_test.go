@@ -118,6 +118,35 @@ func TestPruneStateVars(t *testing.T) {
 	}
 }
 
+// TestPruneStateVarsNonFinite pins that a series holding a NaN or ±Inf is
+// dropped before its tests run, wherever the bad sample falls: neither
+// mistaken for a constant nor kept on NaN p-values.
+func TestPruneStateVarsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		at   int // -1: every sample
+		v    float64
+	}{
+		{"nan first", 0, nan}, {"nan middle", 100, nan}, {"nan last", 199, nan},
+		{"all nan", -1, nan}, {"+inf", 17, inf}, {"-inf", 42, -inf},
+	} {
+		xs := gaussian(200, 3)
+		for i := range xs {
+			if i == tc.at || tc.at < 0 {
+				xs[i] = tc.v
+			}
+		}
+		for _, opts := range []PruneOptions{DefaultPruneOptions(), {ConstTol: 1e-12}} {
+			r := PruneStateVars([]string{"v"}, [][]float64{xs}, opts)[0]
+			if r.Kept || r.Reason != "non-finite value" {
+				t.Errorf("%s (alpha %g): kept=%v reason=%q, want dropped as non-finite value",
+					tc.name, opts.Alpha, r.Kept, r.Reason)
+			}
+		}
+	}
+}
+
 func TestPruneStateVarsTooFew(t *testing.T) {
 	res := PruneStateVars([]string{"x"}, [][]float64{{1, 2, 3}}, DefaultPruneOptions())
 	if res[0].Kept || res[0].Reason != "too few samples" {
@@ -152,14 +181,6 @@ func TestRunsTestNaN(t *testing.T) {
 				t.Errorf("z, p = %v, %v, want NaN, NaN", z, p)
 			}
 		})
-	}
-	// A NaN level sample puts two NaNs into the increments the prune
-	// stage tests.
-	level := gaussian(501, 22)
-	level[250] = math.NaN()
-	res := PruneStateVars([]string{"v"}, [][]float64{level}, DefaultPruneOptions())[0]
-	if !math.IsNaN(res.RunsP) || !math.IsNaN(res.JBPValue) {
-		t.Errorf("prune: RunsP %v, JBPValue %v, want NaN, NaN", res.RunsP, res.JBPValue)
 	}
 }
 
